@@ -1,0 +1,6 @@
+"""The repository benchmark: three workloads, end-to-end and per-layer metrics.
+
+Run one workload with ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1``; see :mod:`perfbench.run` for the output format and
+``BENCHMARK.json`` for the metric definitions.
+"""
