@@ -22,7 +22,7 @@ import numpy as np
 from repro.content.generators import ContentGenerator
 from repro.layout.disk import SimulatedDisk
 from repro.layout.layout_score import layout_score
-from repro.namespace.tree import FileNode, FileSystemTree
+from repro.namespace.tree import FileNode, FileSystemTree, file_paths
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.report import ReproducibilityReport
@@ -74,7 +74,7 @@ class FileSystemImage:
         """
         if self.disk is None:
             return 1.0
-        names = [self._disk_name(file) for file in self.tree.files]
+        names = file_paths(self.tree.files)
         present = [name for name in names if self.disk.has_file(name)]
         if not present:
             return 1.0
@@ -161,6 +161,3 @@ class FileSystemImage:
         if file_node.file_id < 0:
             raise ValueError("file does not belong to a generated image")
         return file_node.file_id
-
-    def _disk_name(self, file_node: FileNode) -> str:
-        return file_node.path()

@@ -43,6 +43,10 @@ __all__ = [
 class AllocationError(RuntimeError):
     """Raised when the disk has insufficient free space for an allocation."""
 
+    #: Temporaries :meth:`SimulatedDisk.extend_past_gaps` had placed (and has
+    #: released again) before the extension that failed; 0 from other calls.
+    temporaries = 0
+
 
 class DoubleFreeError(RuntimeError):
     """Raised when :meth:`SimulatedDisk.free` targets a file that is not allocated.
@@ -261,19 +265,66 @@ class SimulatedDisk:
         old_blocks = self._block_counts[name]
         old_runs = len(extents)
         pieces = self._take(needed)
-        # Merge the first new piece into the file's tail when contiguous, so
-        # len(extents) stays equal to the contiguous-run count.
-        if extents and extents[-1][0] + extents[-1][1] == pieces[0][0]:
-            tail_start, tail_length = extents[-1]
-            extents[-1] = (tail_start, tail_length + pieces[0][1])
-            extents.extend(pieces[1:])
-        else:
-            extents.extend(pieces)
+        _append_pieces(extents, pieces)
         new_blocks = old_blocks + needed
         self._block_counts[name] = new_blocks
         self._agg_candidates += (new_blocks - 1) - (old_blocks - 1 if old_blocks else 0)
         self._agg_optimal += (new_blocks - len(extents)) - (old_blocks - old_runs)
         return pieces
+
+    def extend_past_gaps(self, name: str, chunk_sizes: list[int], gap_blocks: int) -> int:
+        """Extend ``name`` by each of ``chunk_sizes`` bytes, a free gap before each.
+
+        The fragmenter's split primitive, fused: for every chunk a temporary
+        of ``gap_blocks`` blocks is carved off the front of the free list
+        (skipped when it does not fit), then the file is extended by the
+        chunk, which therefore lands past the temporary.  Once every chunk is
+        placed, or an extension raises :class:`AllocationError`, the
+        temporaries are released in the order they were carved, leaving
+        holes for later files.  The free list, extents, layout aggregates and
+        file order end exactly as after the equivalent ``allocate_extents``
+        (temporary) / :meth:`extend_extents` / :meth:`delete` (temporary)
+        sequence; the temporaries are never registered as files.
+
+        Returns the number of temporaries placed.  An :class:`AllocationError`
+        from an extension carries that number as ``temporaries``.
+        """
+        if gap_blocks < 1:
+            raise ValueError("gap_blocks must be at least 1")
+        extents = self._extents.get(name)
+        if extents is None:
+            raise KeyError(f"unknown file {name!r}")
+        old_blocks = blocks = self._block_counts[name]
+        old_runs = len(extents)
+        block_size = self._geometry.block_size
+        gaps: list[list[tuple[int, int]]] = []
+        try:
+            for size_bytes in chunk_sizes:
+                if gap_blocks <= self._free_blocks:
+                    gaps.append(self._take(gap_blocks))
+                if size_bytes <= 0:
+                    continue
+                needed = (size_bytes + block_size - 1) // block_size
+                if needed > self._free_blocks:
+                    raise AllocationError(
+                        f"cannot extend {name!r} by {needed} blocks: only {self._free_blocks} free"
+                    )
+                _append_pieces(extents, self._take(needed))
+                blocks += needed
+        except AllocationError as error:
+            error.temporaries = len(gaps)
+            raise
+        finally:
+            # The per-extension aggregate updates of extend_extents telescope
+            # to one update from the starting to the final block/run counts.
+            self._block_counts[name] = blocks
+            self._agg_candidates += max(blocks - 1, 0) - max(old_blocks - 1, 0)
+            self._agg_optimal += (blocks - len(extents)) - (old_blocks - old_runs)
+            for pieces in gaps:
+                self._free_blocks += gap_blocks
+                for start, length in pieces:
+                    self._release_extent(start, length)
+        return len(gaps)
 
     def delete(self, name: str) -> None:
         """Free all blocks owned by ``name``."""
@@ -487,6 +538,20 @@ class SimulatedDisk:
             "file_extents": self.total_extents,
             "layout_score": self.layout_score(),
         }
+
+
+def _append_pieces(extents: list[tuple[int, int]], pieces: list[tuple[int, int]]) -> None:
+    """Append freshly taken ``pieces`` to a file's ``extents``.
+
+    The first piece merges into the file's tail when contiguous, so
+    ``len(extents)`` stays equal to the contiguous-run count.
+    """
+    if extents and extents[-1][0] + extents[-1][1] == pieces[0][0]:
+        tail_start, tail_length = extents[-1]
+        extents[-1] = (tail_start, tail_length + pieces[0][1])
+        extents.extend(pieces[1:])
+    else:
+        extents.extend(pieces)
 
 
 def expand_extents(extents: list[tuple[int, int]]) -> list[int]:

@@ -74,7 +74,6 @@ class Fragmenter:
         self._rng = rng
         self._temp_blocks = temp_file_blocks
         self._max_splits = max_splits_per_file
-        self._temp_counter = 0
         self._regular_names: list[str] = []
         self._temp_operations = 0
         # Incremental layout-score bookkeeping: the aggregate score is
@@ -138,35 +137,27 @@ class Fragmenter:
         current_non_optimal = self._candidate_blocks - self._optimal_blocks
         deficit = desired_non_optimal - current_non_optimal
         planned = int(round(deficit))
-        return int(np.clip(planned, 0, min(needed_blocks - 1, self._max_splits)))
+        return max(0, min(planned, needed_blocks - 1, self._max_splits))
 
     def _allocate_fragmented(
         self, name: str, size_bytes: int, needed_blocks: int, splits: int
     ) -> None:
         """Create ``name`` in ``splits + 1`` chunks separated by temporary files."""
         block_size = self._disk.geometry.block_size
-        chunk_sizes = self._chunk_blocks(needed_blocks, splits + 1)
-        temps: list[str] = []
+        chunk_bytes: list[int] = []
         remaining_bytes = size_bytes
+        for chunk in self._chunk_blocks(needed_blocks, splits + 1):
+            size = min(chunk * block_size, remaining_bytes)
+            chunk_bytes.append(size)
+            remaining_bytes -= size
+        self._disk.allocate_extents(name, chunk_bytes[0])
+        # Each temporary counts as one create and one delete.
         try:
-            for index, chunk in enumerate(chunk_sizes):
-                chunk_bytes = min(chunk * block_size, remaining_bytes)
-                remaining_bytes -= chunk_bytes
-                if index == 0:
-                    self._disk.allocate_extents(name, chunk_bytes)
-                else:
-                    temp_name = self._next_temp_name()
-                    try:
-                        self._disk.allocate_extents(temp_name, self._temp_blocks * block_size)
-                        temps.append(temp_name)
-                        self._temp_operations += 1
-                    except AllocationError:
-                        pass
-                    self._disk.extend_extents(name, chunk_bytes)
-        finally:
-            for temp_name in temps:
-                self._disk.delete(temp_name)
-                self._temp_operations += 1
+            temporaries = self._disk.extend_past_gaps(name, chunk_bytes[1:], self._temp_blocks)
+        except AllocationError as error:
+            self._temp_operations += 2 * error.temporaries
+            raise
+        self._temp_operations += 2 * temporaries
 
     def _chunk_blocks(self, needed_blocks: int, num_chunks: int) -> list[int]:
         """Split ``needed_blocks`` into ``num_chunks`` roughly equal positive parts."""
@@ -174,11 +165,6 @@ class Fragmenter:
         base = needed_blocks // num_chunks
         remainder = needed_blocks % num_chunks
         return [base + (1 if index < remainder else 0) for index in range(num_chunks)]
-
-    def _next_temp_name(self) -> str:
-        name = f".impressions-tmp-{self._temp_counter}"
-        self._temp_counter += 1
-        return name
 
     def _account(self, blocks: int, runs: int) -> None:
         if blocks <= 1:

@@ -309,9 +309,12 @@ class TarSink(MaterializationSink):
         info.mode = 0o644
         info.mtime = int(node.timestamps.modified) if node.timestamps is not None else 0
         if stream.write_content:
-            chunks = stream.chunks()
-            self._tar.addfile(info, _ChunkReader(chunks))
-            for _ in chunks:  # finish the generator so its digest finalizes
+            reader = _ChunkReader(stream.chunks())
+            self._tar.addfile(info, reader)
+            # Drain the generator so its digest finalizes.  Only bytes past
+            # the declared size are an error: a zero-byte file's content is
+            # one empty chunk, which tarfile never asks for.
+            if reader.read():
                 raise MaterializeError(
                     f"content for {stream.relpath!r} exceeded its declared size"
                 )

@@ -124,10 +124,22 @@ class FilePlacer:
         self._model = model
         self._rng = rng
         self._special_nodes = dict(special_nodes or {})
-        self._max_depth = max(tree.max_depth(), 1)
+        # A file lives at depth 1 .. max_depth + 1 (its parent one above).
+        self._depths = np.arange(1, max(tree.max_depth(), 1) + 2)
+        # log(mean bytes) per file depth, the centre of each affinity kernel.
+        self._log_targets = [
+            math.log(max(model.mean_bytes_at(int(depth)), 1.0)) for depth in self._depths
+        ]
         self._depth_weights_cache: dict[int, np.ndarray] = {}
         self._directories_by_depth: dict[int, list[DirectoryNode]] = {}
         self._quotas: dict[int, np.ndarray] = {}
+        # File counts of the candidates, as floats next to their quotas, and
+        # where each candidate sits in them.  Only the directory handed out
+        # by the previous call can have gained a file since, so re-reading
+        # that one count keeps the arrays equal to the live file_counts.
+        self._counts: dict[int, np.ndarray] = {}
+        self._slots: dict[int, tuple[int, int]] = {}
+        self._last_returned: DirectoryNode | None = None
         self._special_specs = {
             spec.name: spec for spec in model.special_directories if spec.name in self._special_nodes
         }
@@ -140,8 +152,7 @@ class FilePlacer:
         The returned depth is clamped to ``1 .. max_depth + 1`` (a file must
         live inside some directory; parents live at ``depth - 1``).
         """
-        max_file_depth = self._max_depth + 1
-        depths = np.arange(1, max_file_depth + 1)
+        depths = self._depths
         weights = self._depth_weights(file_size, depths)
         total = weights.sum()
         if total <= 0:
@@ -153,12 +164,15 @@ class FilePlacer:
         poisson_weights = self._poisson_weights(depths)
         if not self._model.use_multiplicative_model:
             return poisson_weights
-        affinity = np.empty(len(depths), dtype=float)
         log_size = math.log(max(file_size, 1))
         sigma = self._model.affinity_sigma
-        for position, depth in enumerate(depths):
-            target = math.log(max(self._model.mean_bytes_at(int(depth)), 1.0))
-            affinity[position] = math.exp(-((log_size - target) ** 2) / (2.0 * sigma**2))
+        affinity = np.array(
+            [
+                math.exp(-((log_size - target) ** 2) / (2.0 * sigma**2))
+                for target in self._log_targets
+            ],
+            dtype=float,
+        )
         return poisson_weights * affinity
 
     def _poisson_weights(self, depths: np.ndarray) -> np.ndarray:
@@ -177,18 +191,21 @@ class FilePlacer:
         If no directory exists at exactly ``depth - 1`` the nearest shallower
         populated depth is used (this only happens for degenerate trees).
         """
+        self._refresh_last_count()
+        return self._choose_parent(depth)
+
+    def _choose_parent(self, depth: int) -> DirectoryNode:
         parent_depth = depth - 1
         candidates = self._candidates_at(parent_depth)
         while not candidates and parent_depth > 0:
             parent_depth -= 1
             candidates = self._candidates_at(parent_depth)
         if not candidates:
-            return self._tree.root
-        quotas = self._quotas[parent_depth]
-        weights = quotas - np.asarray([directory.file_count for directory in candidates], dtype=float)
+            return self._returning(self._tree.root)
+        weights = self._quotas[parent_depth] - self._counts[parent_depth]
         weights = np.maximum(weights, 0.25)
         index = int(self._rng.choice(len(candidates), p=weights / weights.sum()))
-        return candidates[index]
+        return self._returning(candidates[index])
 
     def _candidates_at(self, depth: int) -> list[DirectoryNode]:
         if depth < 0:
@@ -199,7 +216,32 @@ class FilePlacer:
             if candidates:
                 quotas = self._model.directory_file_count.sample(self._rng, len(candidates))
                 self._quotas[depth] = np.asarray(quotas, dtype=float) + 1.0
+                self._counts[depth] = np.asarray(
+                    [directory.file_count for directory in candidates], dtype=float
+                )
+                for index, directory in enumerate(candidates):
+                    self._slots[id(directory)] = (depth, index)
         return self._directories_by_depth[depth]
+
+    def _returning(self, directory: DirectoryNode) -> DirectoryNode:
+        self._last_returned = directory
+        return directory
+
+    def _refresh_last_count(self) -> None:
+        """Re-read the file count of the directory the previous call returned.
+
+        Callers create at most one file, in the directory they were handed,
+        before asking again; callers that only sample (the synthetic dataset
+        builder) create none.  Re-reading that directory's true count covers
+        both, where a blind increment would not.
+        """
+        directory = self._last_returned
+        if directory is None:
+            return
+        slot = self._slots.get(id(directory))
+        if slot is not None:
+            depth, index = slot
+            self._counts[depth][index] = directory.file_count
 
     # Full placement -----------------------------------------------------------
 
@@ -210,11 +252,12 @@ class FilePlacer:
         its configured bias, a file is routed directly to that special
         directory regardless of the depth model.
         """
+        self._refresh_last_count()
         special = self._maybe_special()
         if special is not None:
-            return special
+            return self._returning(special)
         depth = self.choose_depth(file_size)
-        return self.choose_parent(depth)
+        return self._choose_parent(depth)
 
     def _maybe_special(self) -> DirectoryNode | None:
         if not self._special_specs:

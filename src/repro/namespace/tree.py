@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.layout.disk import expand_extents
 
-__all__ = ["FileNode", "DirectoryNode", "FileSystemTree"]
+__all__ = ["FileNode", "DirectoryNode", "FileSystemTree", "file_paths"]
 
 
 @dataclass(eq=False)
@@ -138,6 +138,31 @@ class DirectoryNode:
             f"DirectoryNode({self.path()!r}, depth={self.depth}, "
             f"subdirs={self.subdirectory_count}, files={self.file_count})"
         )
+
+
+def file_paths(files: Iterable[FileNode]) -> list[str]:
+    """``[node.path() for node in files]``, building each directory's path once.
+
+    :meth:`FileNode.path` walks up to the root for every file; here each
+    directory's path prefix is memoised for the duration of the call, so a
+    whole tree costs one string join per file and per directory.  Nothing is
+    cached on the nodes themselves: aging and replay rename and move them.
+    """
+    prefixes: dict[int, str] = {}
+
+    def prefix(directory: DirectoryNode) -> str:
+        # ``directory.path().rstrip("/")``: "" for the root.
+        key = id(directory)
+        if key not in prefixes:
+            parent = directory.parent
+            path = "/" if parent is None else prefix(parent) + "/" + directory.name
+            prefixes[key] = path.rstrip("/")
+        return prefixes[key]
+
+    return [
+        "/" + node.name if node.parent is None else prefix(node.parent) + "/" + node.name
+        for node in files
+    ]
 
 
 class FileSystemTree:

@@ -26,6 +26,7 @@ from repro.metadata.names import NameGenerator
 from repro.namespace.generative_model import GenerativeTreeModel
 from repro.namespace.placement import FilePlacer
 from repro.namespace.special_dirs import install_special_directories
+from repro.namespace.tree import file_paths
 from repro.pipeline.context import GenerationContext
 from repro.pipeline.stage import PipelineError, Stage
 
@@ -231,8 +232,9 @@ class OnDiskCreationStage(Stage):
         )
         disk = SimulatedDisk(num_blocks=capacity_blocks)
         fragmenter = Fragmenter(disk=disk, target_score=config.layout_score, rng=context.rng)
-        for file_node in tree.files:
-            extents = fragmenter.allocate_regular_file(file_node.path(), file_node.size)
+        files = tree.files
+        for file_node, path in zip(files, file_paths(files)):
+            extents = fragmenter.allocate_regular_file(path, file_node.size)
             file_node.extents = extents
             file_node.first_block = extents[0][0] if extents else None
         fragmenter.finish()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.layout.disk import AllocationError, DiskGeometry, SimulatedDisk
 
@@ -432,3 +434,131 @@ class TestCoalescingUnderChurn:
         for name in live:
             disk.free(name)
         assert self._free_extents(disk) == [(0, 2048)]
+
+
+def three_call_splits(disk: SimulatedDisk, name: str, chunk_sizes: list[int], gap_blocks: int) -> int:
+    """The historical per-split sequence :meth:`extend_past_gaps` fuses.
+
+    For each chunk: allocate a named temporary (skipped when it does not
+    fit), extend the file; delete every temporary afterwards, also when an
+    extension raises.  Returns the number of temporaries, like the fused call.
+    """
+    temps: list[str] = []
+    try:
+        for index, size_bytes in enumerate(chunk_sizes):
+            temp = f".tmp-{index}"
+            try:
+                disk.allocate_extents(temp, gap_blocks * disk.geometry.block_size)
+                temps.append(temp)
+            except AllocationError:
+                pass
+            disk.extend_extents(name, size_bytes)
+    except AllocationError as error:
+        error.temporaries = len(temps)
+        raise
+    finally:
+        for temp in temps:
+            disk.delete(temp)
+    return len(temps)
+
+
+def _disk_state(disk: SimulatedDisk) -> dict:
+    return {
+        "free": disk.free_extents(),
+        "free_blocks": disk.free_blocks,
+        "files": disk.file_names(),
+        "extents": {name: disk.extents_of(name) for name in disk.file_names()},
+        "blocks": {name: disk.block_count(name) for name in disk.file_names()},
+        "aggregates": disk.layout_aggregates,
+        "score": disk.layout_score(),
+    }
+
+
+def _fragmented_disk(num_blocks: int, sizes: list[int], freed: list[bool], target: int) -> SimulatedDisk:
+    """A disk whose free list is riddled with holes, plus the file ``target``."""
+    disk = SimulatedDisk(num_blocks=num_blocks)
+    names = []
+    for index, blocks in enumerate(sizes):
+        if blocks > disk.free_blocks:
+            break
+        names.append(f"f{index}")
+        disk.allocate_extents(names[-1], blocks * 4096)
+    for name, free in zip(names, freed):
+        if free:
+            disk.delete(name)
+    disk.allocate_extents("target", min(target, disk.free_blocks) * 4096)
+    return disk
+
+
+def _run(split, disk, chunk_sizes, gap_blocks):
+    try:
+        return ("ok", split(disk, "target", chunk_sizes, gap_blocks))
+    except AllocationError as error:
+        return ("AllocationError", str(error), error.temporaries)
+
+
+class TestExtendPastGaps:
+    """The fused split primitive leaves exactly the three-call sequence's state."""
+
+    @staticmethod
+    def _both(num_blocks, sizes, freed, target, chunk_sizes, gap_blocks):
+        fused = _fragmented_disk(num_blocks, sizes, freed, target)
+        reference = _fragmented_disk(num_blocks, sizes, freed, target)
+        fused_result = _run(SimulatedDisk.extend_past_gaps, fused, chunk_sizes, gap_blocks)
+        reference_result = _run(three_call_splits, reference, chunk_sizes, gap_blocks)
+        return fused_result, _disk_state(fused), reference_result, _disk_state(reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_blocks=st.integers(min_value=8, max_value=160),
+        sizes=st.lists(st.integers(min_value=1, max_value=9), max_size=30),
+        freed=st.lists(st.booleans(), max_size=30),
+        target=st.integers(min_value=0, max_value=6),
+        chunk_sizes=st.lists(st.integers(min_value=0, max_value=12 * 4096), max_size=12),
+        gap_blocks=st.integers(min_value=1, max_value=4),
+    )
+    def test_matches_three_call_sequence(
+        self, num_blocks, sizes, freed, target, chunk_sizes, gap_blocks
+    ):
+        fused_result, fused, reference_result, reference = self._both(
+            num_blocks, sizes, freed, target, chunk_sizes, gap_blocks
+        )
+        assert fused_result == reference_result
+        assert fused == reference
+
+    def test_temporary_that_does_not_fit_is_skipped(self):
+        # 4 free blocks, gaps of 2: the first gap fits, the second does not,
+        # yet its one-block chunk still lands in the last free block.
+        fused_result, fused, reference_result, reference = self._both(
+            10, [3, 3], [False, False], 0, [4096, 4096], 2
+        )
+        assert fused_result == reference_result == ("ok", 1)
+        assert fused == reference
+        assert fused["free"] == [(6, 2)]
+        assert fused["extents"]["target"] == [(8, 2)]
+
+    def test_extension_that_raises_releases_the_temporaries(self):
+        fused_result, fused, reference_result, reference = self._both(
+            40, [4, 4, 4, 4], [True, False, True, False], 2, [4096, 4096, 100 * 4096], 1
+        )
+        assert fused_result[0] == "AllocationError"
+        assert fused_result == reference_result
+        assert fused_result[2] == 3
+        assert fused == reference
+        assert fused["files"] == ["f1", "f3", "target"]
+
+    def test_split_file_is_fragmented_and_holes_are_left(self):
+        disk = SimulatedDisk(num_blocks=64)
+        disk.allocate_extents("a", 2 * 4096)
+        assert disk.extend_past_gaps("a", [2 * 4096, 2 * 4096], 1) == 2
+        assert disk.extents_of("a") == [(0, 2), (3, 2), (6, 2)]
+        assert disk.free_extents() == [(2, 1), (5, 1), (8, 56)]
+        assert disk.file_names() == ["a"]
+
+    def test_rejects_empty_gaps_and_unknown_files(self):
+        disk = SimulatedDisk(num_blocks=16)
+        disk.allocate_extents("a", 4096)
+        with pytest.raises(ValueError):
+            disk.extend_past_gaps("a", [4096], 0)
+        with pytest.raises(KeyError):
+            disk.extend_past_gaps("missing", [4096], 1)

@@ -202,6 +202,53 @@ class TestTarSink:
             assert info.mtime == int(probe.timestamps.modified)
 
 
+class TestTarSinkZeroByteContent:
+    @staticmethod
+    def image_with_empty_files() -> FileSystemImage:
+        config = ImpressionsConfig(
+            fs_size_bytes=2 * 1024 * 1024,
+            num_files=30,
+            num_directories=8,
+            seed=21,
+            generate_content=True,
+        )
+        image = Impressions(config).generate()
+        for extension, kind in (("txt", "text"), ("jpg", "image"), ("", "binary")):
+            image.tree.create_file(
+                parent=image.tree.root,
+                size=0,
+                extension=extension,
+                name=f"empty.{extension}" if extension else "empty",
+                content_kind=kind,
+            )
+        return image
+
+    def test_zero_byte_content_files_archive(self, tmp_path):
+        image = self.image_with_empty_files()
+        archive = str(tmp_path / "img.tar")
+        result = materialize_image(image, TarSink(archive))
+        with tarfile.open(archive) as tar:
+            for name in ("empty.txt", "empty.jpg", "empty"):
+                member = tar.getmember(name)
+                assert member.size == 0
+                assert tar.extractfile(member).read() == b""
+        assert result.files == image.file_count
+        directory = materialize_image(image, DirectorySink(str(tmp_path / "img")))
+        assert result.content_digest == directory.content_digest
+
+    def test_content_past_declared_size_still_rejected(self, tmp_path, monkeypatch):
+        image = self.image_with_empty_files()
+        original = FileStream.content_chunks
+
+        def one_byte_too_many(stream):
+            yield from original(stream)
+            yield b"x"
+
+        monkeypatch.setattr(FileStream, "content_chunks", one_byte_too_many)
+        with pytest.raises(MaterializeError, match="exceeded its declared size"):
+            materialize_image(image, TarSink(str(tmp_path / "img.tar")))
+
+
 class TestGoldenTarDigest:
     #: SHA-256 of the .tar produced for the seeded golden image below — pins
     #: the whole export stack (tree generation, entry ordering, tar headers).

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,151 @@ class TestSpecialDirectoryBias:
         placer = FilePlacer(tree, model, rng, special_nodes={})
         parent = placer.place(1_000)
         assert parent.special_label is None
+
+
+class ReferencePlacer:
+    """The historical placer: every weight recomputed from the live tree.
+
+    ``choose_parent`` rebuilds the candidates' file counts from
+    ``file_count`` on every call and ``choose_depth`` recomputes each
+    depth's log target; :class:`FilePlacer` keeps both incrementally and
+    must make exactly the same choices with exactly the same rng draws.
+    """
+
+    def __init__(self, tree, model, rng, special_nodes=None):
+        self._tree = tree
+        self._model = model
+        self._rng = rng
+        self._special_nodes = dict(special_nodes or {})
+        self._max_depth = max(tree.max_depth(), 1)
+        self._directories_by_depth = {}
+        self._quotas = {}
+        self._special_specs = {
+            spec.name: spec for spec in model.special_directories if spec.name in self._special_nodes
+        }
+
+    def choose_depth(self, file_size):
+        depths = np.arange(1, self._max_depth + 2)
+        poisson = np.asarray(self._model.depth_distribution.pmf(depths), dtype=float)
+        weights = poisson
+        if self._model.use_multiplicative_model:
+            affinity = np.empty(len(depths), dtype=float)
+            log_size = math.log(max(file_size, 1))
+            sigma = self._model.affinity_sigma
+            for position, depth in enumerate(depths):
+                target = math.log(max(self._model.mean_bytes_at(int(depth)), 1.0))
+                affinity[position] = math.exp(-((log_size - target) ** 2) / (2.0 * sigma**2))
+            weights = poisson * affinity
+        total = weights.sum()
+        if total <= 0:
+            return int(depths[np.argmax(poisson)])
+        return int(self._rng.choice(depths, p=weights / total))
+
+    def choose_parent(self, depth):
+        parent_depth = depth - 1
+        candidates = self._candidates_at(parent_depth)
+        while not candidates and parent_depth > 0:
+            parent_depth -= 1
+            candidates = self._candidates_at(parent_depth)
+        if not candidates:
+            return self._tree.root
+        counts = np.asarray([directory.file_count for directory in candidates], dtype=float)
+        weights = np.maximum(self._quotas[parent_depth] - counts, 0.25)
+        return candidates[int(self._rng.choice(len(candidates), p=weights / weights.sum()))]
+
+    def _candidates_at(self, depth):
+        if depth < 0:
+            return []
+        if depth not in self._directories_by_depth:
+            candidates = self._tree.directories_at_depth(depth)
+            self._directories_by_depth[depth] = candidates
+            if candidates:
+                quotas = self._model.directory_file_count.sample(self._rng, len(candidates))
+                self._quotas[depth] = np.asarray(quotas, dtype=float) + 1.0
+        return self._directories_by_depth[depth]
+
+    def place(self, file_size):
+        if self._special_specs:
+            draw = self._rng.random()
+            cumulative = 0.0
+            for name, spec in self._special_specs.items():
+                cumulative += spec.file_bias
+                if draw < cumulative:
+                    return self._special_nodes[name]
+        return self.choose_parent(self.choose_depth(file_size))
+
+
+def _placement_run(placer_class, seed, *, create_files, specs=(), model_kwargs=None, files=600):
+    """Place ``files`` files; returns the chosen directory indices and final rng draw."""
+    rng = np.random.default_rng(seed)
+    tree = GenerativeTreeModel().generate(80, rng)
+    nodes = install_special_directories(tree, specs, rng) if specs else {}
+    model = PlacementModel(special_directories=specs, **(model_kwargs or {}))
+    placer = placer_class(tree, model, rng, special_nodes=nodes)
+    index = {id(directory): position for position, directory in enumerate(tree.directories)}
+    sizes = np.exp(rng.normal(9.0, 2.5, files)).astype(int)
+    chosen = []
+    for size in sizes:
+        parent = placer.place(int(size))
+        chosen.append(index[id(parent)])
+        if create_files:
+            tree.create_file(parent, size=int(size), extension="txt")
+    return chosen, int(rng.integers(2**62))
+
+
+SEEDS = (0, 1, 7, 42, 2009)
+
+
+class TestIncrementalCountsMatchReference:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pipeline_style_caller(self, seed):
+        # Every placement is followed by a file created in the chosen parent.
+        new = _placement_run(FilePlacer, seed, create_files=True)
+        assert new == _placement_run(ReferencePlacer, seed, create_files=True)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_synthetic_style_caller(self, seed):
+        # The synthetic dataset builder only samples: counts must stay at 0.
+        new = _placement_run(FilePlacer, seed, create_files=False)
+        assert new == _placement_run(ReferencePlacer, seed, create_files=False)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("create_files", (True, False))
+    def test_special_directories_that_are_depth_candidates(self, seed, create_files):
+        # Special nodes sit at depths the depth model also draws parents
+        # from, so files reach them by both routes, often back to back.
+        specs = (
+            SpecialDirectorySpec(name="Hot", depth=1, file_bias=0.3),
+            SpecialDirectorySpec(name="Warm", depth=3, file_bias=0.2),
+        )
+        new = _placement_run(FilePlacer, seed, create_files=create_files, specs=specs)
+        reference = _placement_run(ReferencePlacer, seed, create_files=create_files, specs=specs)
+        assert new == reference
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_poisson_only_and_deep_fallback_depths(self, seed):
+        # A mean-bytes mapping missing most depths exercises the fallback
+        # mean; the Poisson-only model skips the affinity entirely.
+        for model_kwargs in (
+            {"mean_bytes_by_depth": {1: 4096.0, 2: 1 << 20}},
+            {"use_multiplicative_model": False},
+        ):
+            new = _placement_run(FilePlacer, seed, create_files=True, model_kwargs=model_kwargs)
+            reference = _placement_run(
+                ReferencePlacer, seed, create_files=True, model_kwargs=model_kwargs
+            )
+            assert new == reference
+
+    def test_direct_choose_parent_calls_see_created_files(self):
+        trees = [GenerativeTreeModel().generate(60, np.random.default_rng(3)) for _ in range(2)]
+        placers = [
+            placer_class(tree, PlacementModel(), np.random.default_rng(4))
+            for placer_class, tree in zip((FilePlacer, ReferencePlacer), trees)
+        ]
+        picks = [[], []]
+        for step in range(400):
+            for side, (tree, placer) in enumerate(zip(trees, placers)):
+                parent = placer.choose_parent(2 + step % 4) if step % 3 else placer.place(5000)
+                tree.create_file(parent, size=5000, extension="txt")
+                picks[side].append(tree.directories.index(parent))
+        assert picks[0] == picks[1]
